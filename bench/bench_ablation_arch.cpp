@@ -12,7 +12,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "gnn/gcn.hpp"
 #include "io/csv.hpp"
@@ -104,7 +103,6 @@ int main(int argc, char** argv) {
   CsvWriter csv("arch_ablation.csv",
                 {"variant", "params", "precision", "recall", "f1", "auc",
                  "train_seconds"});
-  BenchJsonWriter json("ablation_arch");
   std::printf("%-16s %-9s %-10s %-10s %-10s %-10s %-9s\n", "variant",
               "params", "precision", "recall", "F1", "AUC", "time[s]");
   for (const Variant& v : variants) {
@@ -121,12 +119,6 @@ int main(int argc, char** argv) {
         format_double(val.precision()), format_double(val.recall()),
         format_double(val.f1()), format_double(auc),
         format_double(r.total_seconds)});
-    json.series(v.name)
-        .param("variant", v.name)
-        .metric("params", static_cast<double>(model.store.total_size()))
-        .metric("f1", val.f1())
-        .metric("auc", auc)
-        .metric("train_seconds", r.total_seconds);
   }
   // Model-family baseline: a GCN edge classifier (no per-edge hidden
   // state), trained full-graph for the same wall-clock scale.
@@ -176,18 +168,8 @@ int main(int argc, char** argv) {
         format_double(val.precision()), format_double(val.recall()),
         format_double(val.f1()), format_double(roc_auc(scored)),
         format_double(timer.seconds())});
-    json.series("gcn-baseline")
-        .param("variant", "gcn-baseline")
-        .metric("params", static_cast<double>(store.total_size()))
-        .metric("f1", val.f1())
-        .metric("auc", roc_auc(scored))
-        .metric("train_seconds", timer.seconds());
   }
 
   std::printf("\nseries written to arch_ablation.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

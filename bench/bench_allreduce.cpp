@@ -9,17 +9,17 @@
 
 // Alongside the google-benchmark table, main() dumps the global metrics
 // registry (allreduce.{per_tensor,coalesced}.{calls,bytes} counters fed by
-// synchronize_gradients) to allreduce.metrics.json so the perf trajectory
-// can track the per-tensor vs coalesced call pattern across PRs.
+// synchronize_gradients) to allreduce.metrics.json, so the per-tensor vs
+// coalesced call pattern can be read off alongside the timings.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
-#include "bench_gb_json.hpp"
 #include "dist/communicator.hpp"
 #include "dist/gradient_sync.hpp"
 #include "gnn/interaction_gnn.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 
 namespace trkx {
@@ -109,19 +109,13 @@ BENCHMARK(BM_AllReduceBuffer)->Range(1 << 10, 1 << 20)
 }  // namespace trkx
 
 int main(int argc, char** argv) {
-  const int rc = trkx::gb_json_main(
-      argc, argv, "allreduce", [](trkx::BenchJsonWriter& json) {
-        // Carry the registry's call-pattern counters into the artifact so
-        // the trajectory tracks per-tensor vs coalesced across PRs.
-        const auto dump = trkx::MetricsRegistry::global().dump();
-        auto& s = json.series("allreduce.registry");
-        s.param("source", "metrics_registry");
-        for (const auto& [name, value] : dump.counters)
-          if (name.rfind("allreduce.", 0) == 0)
-            s.metric(name, static_cast<double>(value));
-      });
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  trkx::set_run_tool("bench_allreduce");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   const char* path = "allreduce.metrics.json";
   trkx::MetricsRegistry::global().write_json(path);
   std::printf("metrics written to %s\n", path);
-  return rc;
+  return 0;
 }

@@ -7,11 +7,9 @@
 // precision/recall/F1 plus time per epoch.
 //
 //   ./bench_batchsize [--scale 0.04] [--train 4] [--epochs 6]
-//                     [--json-out batchsize.json]
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "io/csv.hpp"
 #include "pipeline/evaluation.hpp"
@@ -45,7 +43,6 @@ int main(int argc, char** argv) {
                  "seconds_per_epoch"});
   std::printf("%-12s %-10s %-10s %-10s %-10s %-10s\n", "batch", "precision",
               "recall", "F1", "AUC", "s/epoch");
-  BenchJsonWriter json("batchsize");
 
   for (std::size_t batch : {64u, 128u, 256u, 512u}) {
     GnnTrainConfig cfg;
@@ -65,11 +62,6 @@ int main(int argc, char** argv) {
                 val.precision(), val.recall(), val.f1(), auc, spe);
     csv.row(std::vector<double>{static_cast<double>(batch), val.precision(),
                                 val.recall(), val.f1(), auc, spe});
-    json.series("batch=" + std::to_string(batch))
-        .param("batch", static_cast<long long>(batch))
-        .metric("f1", val.f1())
-        .metric("auc", auc)
-        .metric("seconds_per_epoch", spe);
   }
 
   // Full-graph = the "batch is the whole event" extreme.
@@ -90,16 +82,7 @@ int main(int argc, char** argv) {
                                      format_double(val.recall()),
                                      format_double(val.f1()),
                                      format_double(auc), format_double(spe)});
-    json.series("batch=full")
-        .param("batch", "full")
-        .metric("f1", val.f1())
-        .metric("auc", auc)
-        .metric("seconds_per_epoch", spe);
   }
   std::printf("\nseries written to batchsize_ablation.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "dist/partitioned.hpp"
 #include "gnn/interaction_gnn.hpp"
@@ -54,7 +53,6 @@ int main(int argc, char** argv) {
   std::printf("%-10s | %-16s %-14s | %-14s %-12s\n", "vertices",
               "1D bytes/step", "1D modeled[s]", "DDP bytes/step",
               "DDP modeled[s]");
-  BenchJsonWriter json("distributed_modes");
 
   for (double scale : {0.01, 0.04, 0.16}) {
     DatasetSpec spec = ex3_spec(scale);
@@ -80,13 +78,6 @@ int main(int argc, char** argv) {
                                 stats.modeled_seconds,
                                 static_cast<double>(model_bytes),
                                 ddp_modeled});
-    json.series("vertices=" + std::to_string(e.num_hits()))
-        .param("vertices", static_cast<long long>(e.num_hits()))
-        .metric("partitioned_bytes_per_step",
-                static_cast<double>(stats.all_reduce_bytes))
-        .metric("partitioned_modeled_s", stats.modeled_seconds)
-        .metric("ddp_bytes_per_step", static_cast<double>(model_bytes))
-        .metric("ddp_modeled_s", ddp_modeled);
   }
   // Projection to paper-scale CTD: n = 330.7K vertices.
   const std::size_t paper_bytes =
@@ -97,9 +88,5 @@ int main(int argc, char** argv) {
       "the gap that motivates minibatch\nDDP for particle-graph GNNs.\n",
       paper_bytes / 1e9, model_bytes / 1e6);
   std::printf("series written to distributed_modes.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

@@ -20,23 +20,19 @@
 //       [--train 2] [--epochs 1] [--batch 256] [--hidden 32] [--layers 4]
 //       [--max-ranks 4] [--prefetch 2] [--trace-out trace.json]
 //       [--metrics-out fig3_epoch_time.metrics.json]
-//       [--json-out BENCH_fig3.json]
 //
 // Every configuration runs twice, with the sampler↔trainer prefetch
 // pipeline off (prefetch_depth=0, the serial reference) and on, so the
-// table and the JSON artifact carry the overlap speedup directly.
+// table and the CSV carry the overlap speedup directly.
 //
 // Alongside the CSV it always dumps the global metrics registry (phase
-// histograms, all-reduce call/byte counters) so the perf trajectory can
-// track the sampling/compute/comms split across PRs. With --json-out (or
-// TRKX_BENCH_JSON) it also writes the unified BENCH_fig3.json artifact of
-// per-phase medians validated by scripts/check_bench_json.py.
+// histograms, all-reduce call/byte counters), so the sampling/compute/comms
+// split can be read off without re-running.
 
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "io/csv.hpp"
 #include "obs/report.hpp"
@@ -71,7 +67,7 @@ double phase_median(const TrainResult& r, const char* phase) {
 
 void run_dataset(const char* name, const Dataset& data, const IgnnConfig& gnn,
                  GnnTrainConfig cfg, const std::vector<int>& rank_counts,
-                 CsvWriter& csv, BenchJsonWriter& json) {
+                 CsvWriter& csv) {
   std::printf("\n--- %s: avg %.0f vertices / %.0f edges per graph ---\n",
               name, data.avg_vertices(), data.avg_edges());
   std::printf("%-9s %-3s %-3s %-3s | %-9s %-9s %-11s %-11s %-9s | %-9s %s\n",
@@ -134,20 +130,6 @@ void run_dataset(const char* name, const Dataset& data, const IgnnConfig& gnn,
             std::to_string(pf), format_double(sample), format_double(train),
             format_double(allred), format_double(modeled),
             format_double(stall), format_double(epoch_wall)});
-        auto& s = json.series(std::string(name) + "/" + run.impl + "/p" +
-                              std::to_string(p) + "/pf" + std::to_string(pf));
-        s.param("dataset", name)
-            .param("impl", run.impl)
-            .param("ranks", static_cast<long long>(p))
-            .param("bulk_k", static_cast<long long>(c.bulk_k))
-            .param("prefetch_depth", static_cast<long long>(pf));
-        s.metric("sample_s_median", sample)
-            .metric("train_s_median", train)
-            .metric("allreduce_s_median", allred)
-            .metric("allreduce_modeled_s_median", modeled)
-            .metric("prefetch_stall_s_median", stall)
-            .metric("epoch_s_median", epoch_wall);
-        if (pf > 0) s.metric("speedup_vs_serial", speedup);
       }
     }
   }
@@ -184,7 +166,6 @@ int main(int argc, char** argv) {
                 {"dataset", "impl", "ranks", "bulk_k", "prefetch_depth",
                  "sample_s", "train_s", "allreduce_s", "allreduce_modeled_s",
                  "prefetch_stall_s", "epoch_s"});
-  BenchJsonWriter json("fig3_epoch_time");
 
   {
     DatasetSpec spec = ctd_spec(ctd_scale);
@@ -196,7 +177,7 @@ int main(int argc, char** argv) {
     gnn.hidden_dim = static_cast<std::size_t>(args.get_int("hidden", 32));
     gnn.num_layers = static_cast<std::size_t>(args.get_int("layers", 4));
     gnn.mlp_hidden = spec.mlp_hidden_layers - 1;
-    run_dataset("CTD", data, gnn, cfg, ranks, csv, json);
+    run_dataset("CTD", data, gnn, cfg, ranks, csv);
   }
   {
     DatasetSpec spec = ex3_spec(ex3_scale);
@@ -208,7 +189,7 @@ int main(int argc, char** argv) {
     gnn.hidden_dim = static_cast<std::size_t>(args.get_int("hidden", 32));
     gnn.num_layers = static_cast<std::size_t>(args.get_int("layers", 4));
     gnn.mlp_hidden = spec.mlp_hidden_layers - 1;
-    run_dataset("Ex3", data, gnn, cfg, ranks, csv, json);
+    run_dataset("Ex3", data, gnn, cfg, ranks, csv);
   }
 
   std::printf(
@@ -221,9 +202,5 @@ int main(int argc, char** argv) {
   obs.flush();
   std::printf("series written to fig3_epoch_time.csv, metrics to %s\n",
               obs.metrics_path().c_str());
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

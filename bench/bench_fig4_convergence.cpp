@@ -20,7 +20,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "io/csv.hpp"
 #include "pipeline/gnn_train.hpp"
@@ -105,21 +104,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-
-  BenchJsonWriter json("fig4_convergence");
-  for (const Curve& c : curves) {
-    const auto& last = c.result.last().val;
-    json.series(c.name)
-        .param("mode", c.name)
-        .metric("final_precision", last.precision())
-        .metric("final_recall", last.recall())
-        .metric("final_f1", last.f1())
-        .metric("total_seconds", c.result.total_seconds);
-  }
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
 
   const auto& full = curves[0].result.last().val;
   const auto& pyg = curves[1].result.last().val;

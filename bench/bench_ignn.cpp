@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_gb_json.hpp"
-
 #include "detector/presets.hpp"
 #include "pipeline/gnn_train.hpp"
 
@@ -117,6 +115,4 @@ BENCHMARK(BM_IgnnLayers)->Arg(2)->Arg(4)->Arg(8)->Iterations(3)
 }  // namespace
 }  // namespace trkx
 
-int main(int argc, char** argv) {
-  return trkx::gb_json_main(argc, argv, "ignn");
-}
+BENCHMARK_MAIN();

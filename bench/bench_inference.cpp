@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_gb_json.hpp"
-
 #include "pipeline/pipeline.hpp"
 #include "pipeline/track_fit.hpp"
 
@@ -113,6 +111,4 @@ BENCHMARK(BM_TrackFitOnly)->Iterations(50)->Unit(benchmark::kMicrosecond);
 }  // namespace
 }  // namespace trkx
 
-int main(int argc, char** argv) {
-  return trkx::gb_json_main(argc, argv, "inference");
-}
+BENCHMARK_MAIN();

@@ -2,13 +2,12 @@
 // throughput (GFLOP/s) for the scalar and AVX2 dispatch tables at
 // pipeline-representative shapes.
 //
-//   ./bench_kernels [--reps 9] [--inner 4] [--json-out BENCH_kernels.json]
+//   ./bench_kernels [--reps 9] [--inner 4]
 //
-// Each series is one (kernel, isa) pair; metrics carry the median wall
-// time plus derived gb_per_sec / gflops_per_sec, and AVX2 series add
-// speedup_vs_scalar so the regression gate and the DESIGN.md roofline
-// table read straight off the artifact. On hosts without AVX2+FMA only
-// the scalar series are emitted.
+// Each row is one (kernel, isa) pair: the median wall time plus derived
+// GB/s and GFLOP/s, and AVX2 rows add the speedup over scalar, so the
+// DESIGN.md roofline table reads straight off the console. On hosts
+// without AVX2+FMA only the scalar rows are printed.
 
 #include <algorithm>
 #include <chrono>
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 
 #include "sparse/spgemm.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -64,8 +62,7 @@ constexpr std::size_t kInner = 64;
 constexpr std::size_t kEwN = kRows * kCols;
 
 void run_isa(const kernels::KernelTable& t, int reps, int inner,
-             std::vector<Workload>& loads, BenchJsonWriter& json,
-             bool is_scalar) {
+             std::vector<Workload>& loads, bool is_scalar) {
   Rng rng(17);
   const Matrix a = Matrix::random_normal(kRows, kInner, rng);
   const Matrix b = Matrix::random_normal(kInner, kCols, rng);
@@ -150,19 +147,10 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
     if (is_scalar) {
       loads.push_back({k.name, k.bytes, k.flops, sec});
     }
-    auto& s = json.series(std::string(k.name) + "/" + t.name);
-    s.param("kernel", k.name)
-        .param("isa", t.name)
-        .param("rows", static_cast<long long>(kRows))
-        .param("cols", static_cast<long long>(kCols))
-        .metric("seconds_median", sec)
-        .metric("gb_per_sec", k.bytes / sec / 1e9)
-        .metric("gflops_per_sec", k.flops / sec / 1e9);
     double speedup = 1.0;
     if (!is_scalar) {
       for (const Workload& wl : loads)
         if (wl.name == k.name) speedup = wl.scalar_s / sec;
-      s.metric("speedup_vs_scalar", speedup);
     }
     std::printf("  %-16s %-6s  %8.1f us  %7.2f GB/s  %7.2f GFLOP/s", k.name,
                 t.name, sec * 1e6, k.bytes / sec / 1e9, k.flops / sec / 1e9);
@@ -183,20 +171,13 @@ int main(int argc, char** argv) {
   const int inner = args.get_int("inner", 4);
 
   std::printf("=== Kernel roofline: scalar vs AVX2 dispatch tables ===\n");
-  BenchJsonWriter json("kernels");
   std::vector<Workload> loads;
-  run_isa(kernels::scalar_table(), reps, inner, loads, json,
-          /*is_scalar=*/true);
+  run_isa(kernels::scalar_table(), reps, inner, loads, /*is_scalar=*/true);
   if (kernels::host_has_avx2()) {
-    run_isa(kernels::avx2_table(), reps, inner, loads, json,
-            /*is_scalar=*/false);
+    run_isa(kernels::avx2_table(), reps, inner, loads, /*is_scalar=*/false);
   } else {
     std::printf("host lacks AVX2+FMA: scalar series only\n");
   }
 
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "io/csv.hpp"
 #include "pipeline/gnn_train.hpp"
@@ -65,7 +64,6 @@ int main(int argc, char** argv) {
                  "edge_fraction_kept"});
   std::printf("%-12s %-14s %-18s\n", "budget[MB]", "events kept",
               "labelled edges kept");
-  BenchJsonWriter json("memory_wall");
   // Sweep budgets across the footprint distribution: midpoints between
   // consecutive event footprints (plus the extremes) so every transition
   // shows up.
@@ -97,10 +95,6 @@ int main(int argc, char** argv) {
                                 edge_frac});
     char label[32];
     std::snprintf(label, sizeof label, "budget=%.1fMB", budget_mb);
-    json.series(label)
-        .param("budget_mb", format_double(budget_mb))
-        .metric("events_kept", static_cast<double>(kept))
-        .metric("edge_fraction_kept", edge_frac);
   }
 
   // ShaDow comparison: sample an actual batch-256 subgraph from the
@@ -134,14 +128,6 @@ int main(int argc, char** argv) {
       "while the ShaDow batch\nfootprint above is unchanged. This is the "
       "skipping the paper reports.\n",
       paper_fp / 1e9);
-  json.series("shadow_footprint")
-      .param("batch", "256")
-      .metric("shadow_mb", shadow_bytes / 1e6)
-      .metric("paper_fullgraph_gb", paper_fp / 1e9);
   std::printf("series written to memory_wall.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

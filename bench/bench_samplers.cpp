@@ -2,20 +2,11 @@
 // family), layer-wise (LADIES family), and subgraph (ShaDow) sampling —
 // compared on sampling cost, receptive-field size, and edge coverage on
 // an Ex3-like event graph.
-//
-// With --json-out <path> (or TRKX_BENCH_JSON) the per-benchmark times and
-// counters are also written as a BENCH_samplers.json artifact in the
-// unified schema validated by scripts/check_bench_json.py.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "bench_gb_json.hpp"
 #include "detector/presets.hpp"
 #include "sampling/layerwise.hpp"
 #include "sampling/matrix_shadow.hpp"
@@ -98,6 +89,4 @@ BENCHMARK(BM_FamilyLayerwise)->Arg(2)->Arg(3)->Iterations(20)
 }  // namespace
 }  // namespace trkx
 
-int main(int argc, char** argv) {
-  return trkx::gb_json_main(argc, argv, "samplers");
-}
+BENCHMARK_MAIN();

@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_gb_json.hpp"
-
 #include "detector/presets.hpp"
 #include "sampling/matrix_shadow.hpp"
 #include "sampling/shadow.hpp"
@@ -118,6 +116,4 @@ BENCHMARK(BM_ShadowFanout)->Arg(2)->Arg(4)->Arg(8)->Iterations(10)
 }  // namespace
 }  // namespace trkx
 
-int main(int argc, char** argv) {
-  return trkx::gb_json_main(argc, argv, "sampling");
-}
+BENCHMARK_MAIN();

@@ -6,7 +6,7 @@
 // instead of queueing it.
 //
 //   ./bench_serving [--requests 48] [--mean-particles 8] [--workers 2]
-//                   [--queue-depth 3] [--json-out serving.json]
+//                   [--queue-depth 3]
 //                   [--assert-p99-ratio 0]
 //
 // Phase 1 calibrates the per-event service time closed-loop (one request
@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -177,7 +176,6 @@ int main(int argc, char** argv) {
   std::printf("calibration: service %.2f ms/event -> saturation %.1f req/s\n",
               service_ms, saturation_rps);
 
-  BenchJsonWriter json("serving");
   std::printf("%-8s %-12s %-12s %-9s %-9s %-9s %-22s\n", "load", "offered/s",
               "completed/s", "p50[ms]", "p95[ms]", "p99[ms]",
               "acc/rej/fail");
@@ -206,38 +204,9 @@ int main(int argc, char** argv) {
                 p.p99_ms, static_cast<unsigned long long>(p.completed),
                 static_cast<unsigned long long>(p.rejected),
                 static_cast<unsigned long long>(p.failed));
-    json.series("load_" + std::to_string(factor).substr(0, 3))
-        .param("load_factor", std::to_string(factor))
-        .param("workers", static_cast<long long>(serve_cfg.workers))
-        .param("queue_depth",
-               static_cast<long long>(serve_cfg.queue_depth))
-        .param("requests", static_cast<long long>(n_requests))
-        .metric("offered_rps", p.offered_rps)
-        .metric("throughput_rps", p.throughput_rps)
-        .metric("p50_ms", p.p50_ms)
-        .metric("p95_ms", p.p95_ms)
-        .metric("p99_ms", p.p99_ms)
-        .metric("completed", static_cast<double>(p.completed))
-        .metric("rejected", static_cast<double>(p.rejected))
-        .metric("failed", static_cast<double>(p.failed));
     points.push_back(p);
   }
-  // The calibration series carries the closed-loop (one in flight,
-  // load_factor 0) numbers in the same shape as the load points so the
-  // schema check can require the metric set uniformly.
-  json.series("calibration")
-      .param("load_factor", "0")
-      .param("workers", static_cast<long long>(serve_cfg.workers))
-      .param("queue_depth", static_cast<long long>(serve_cfg.queue_depth))
-      .param("mean_particles", std::to_string(mean_particles))
-      .metric("service_ms", service_ms)
-      .metric("saturation_rps", saturation_rps)
-      .metric("throughput_rps", 1e3 / service_ms)
-      .metric("p50_ms", pctl(calib_ms, 0.50))
-      .metric("p95_ms", pctl(calib_ms, 0.95))
-      .metric("p99_ms", pctl(calib_ms, 0.99));
   server.stop();
-  json.write(BenchJsonWriter::resolve_path(args.get("json-out", "")));
 
   if (assert_ratio > 0.0) {
     // The acceptance gate: at 2x saturation the server must still be

@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_gb_json.hpp"
-
 #include "graph/generators.hpp"
 #include "sparse/sample.hpp"
 #include "sparse/spgemm.hpp"
@@ -117,6 +115,4 @@ BENCHMARK(BM_SampleRows)->Arg(1 << 12)->Arg(1 << 14)
 }  // namespace
 }  // namespace trkx
 
-int main(int argc, char** argv) {
-  return trkx::gb_json_main(argc, argv, "sparse");
-}
+BENCHMARK_MAIN();

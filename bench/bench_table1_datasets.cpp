@@ -9,11 +9,9 @@
 //
 //   ./bench_table1_datasets [--events 8] [--ex3-scale 1.0]
 //                           [--ctd-scale 0.0625] [--seed 1]
-//                           [--json-out table1.json]
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "detector/presets.hpp"
 #include "io/csv.hpp"
 #include "util/cli.hpp"
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
                 {"name", "scale", "avg_vertices", "avg_edges",
                  "paper_vertices", "paper_edges", "edges_per_vertex",
                  "paper_edges_per_vertex", "positive_fraction"});
-  BenchJsonWriter json("table1_datasets");
   for (const Row& r : rows) {
     // The paper uses 80 train / 10 val / 10 test graphs for both datasets.
     std::printf("%-6s %-7s | %-12s %-12s | %-12s %-12s | %-10zu %-6zu %-6zu\n",
@@ -101,12 +98,6 @@ int main(int argc, char** argv) {
         r.avg_edges / r.avg_vertices,
         r.spec.paper_avg_edges / r.spec.paper_avg_vertices,
         r.positive_fraction});
-    json.series(r.spec.name)
-        .param("dataset", r.spec.name)
-        .metric("avg_vertices", r.avg_vertices)
-        .metric("avg_edges", r.avg_edges)
-        .metric("edges_per_vertex", r.avg_edges / r.avg_vertices)
-        .metric("positive_fraction", r.positive_fraction);
   }
   std::printf(
       "\n(p) columns are the paper's Table I values scaled by the preset's\n"
@@ -117,9 +108,5 @@ int main(int argc, char** argv) {
               rows[0].avg_edges / rows[0].avg_vertices,
               rows[1].avg_edges / rows[1].avg_vertices);
   std::printf("series written to table1_datasets.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
-  if (json.write(json_path))
-    std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;
 }

@@ -13,8 +13,7 @@ Passes and their scopes:
     numeric-safety  src/            divisions, exp/log, narrowing casts
     kernel-dispatch src/            multiply-accumulate hot loops must
                     route through the kernels::active() dispatch table
-    conventions     src/ + tests/ + bench/   the original project-lint
-                    rules, plus the bench JSON-registration rule
+    conventions     src/ + tests/   the original project-lint rules
     lock-order      src/            cross-TU lock-acquisition graph:
                     order inversions, blocking ops under locks
     throw-boundary  src/            throwing paths inside OpenMP
@@ -61,7 +60,7 @@ PASSES = {
     "layering": (layering, ("src",)),
     "numeric-safety": (numeric_safety, ("src",)),
     "kernel-dispatch": (kernel_dispatch, ("src",)),
-    "conventions": (conventions, ("src", "tests", "bench")),
+    "conventions": (conventions, ("src", "tests")),
     "lock-order": (lock_order, ("src",)),
     "throw-boundary": (throw_boundary, ("src",)),
     "env-registry": (env_registry, ("src", "bench", "examples")),

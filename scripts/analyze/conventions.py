@@ -23,13 +23,6 @@ Rules:
                       helper in src/pipeline/checkpoint.cpp — a crash
                       mid-write must never leave a torn checkpoint that
                       resume would then trust.
-    trkx-bench-json   every bench/bench_*.cpp must register with the
-                      unified JSON writer (bench_json.hpp /
-                      bench_gb_json.hpp) so new benchmarks join the perf
-                      trajectory instead of printing a table no tooling
-                      can gate on.  bench/ files are exempt from the
-                      other conventions rules (benches legitimately
-                      printf their tables).
 """
 
 import os
@@ -48,9 +41,6 @@ RULES = {
     "trkx-using-std": "using namespace std",
     "trkx-atomic-write":
         "checkpoint path opened directly (use atomic_write_file)",
-    "trkx-bench-json":
-        "bench does not emit the unified JSON artifact "
-        "(use bench_json.hpp / bench_gb_json.hpp)",
 }
 
 RAW_RNG = re.compile(
@@ -70,8 +60,6 @@ USING_STD = re.compile(r"\busing\s+namespace\s+std\b")
 DIRECT_FILE_OPEN = re.compile(r"std::ofstream\b|(?<![\w:])fopen\s*\(")
 CKPT_PATH = re.compile(r"\.ckpt|manifest", re.IGNORECASE)
 COMMENT = re.compile(r"//|/\*")
-BENCH_JSON_REF = re.compile(
-    r"bench_json\.hpp|bench_gb_json\.hpp|BenchJsonWriter|gb_json_main")
 
 PATTERN_RULES = [
     ("trkx-raw-rng", RAW_RNG),
@@ -100,19 +88,6 @@ def is_exempt(rel, rule):
 def run(tree):
     findings = []
     for sf in tree.files():
-        rel = sf.rel.replace(os.sep, "/")
-        if rel.startswith("bench/"):
-            # Benches print human tables by design; the only conventions
-            # rule that applies there is trkx-bench-json.
-            name = rel.rsplit("/", 1)[-1]
-            if (name.startswith("bench_") and name.endswith(".cpp")
-                    and not any(BENCH_JSON_REF.search(raw)
-                                for raw in sf.raw)
-                    and not sf.has_nolint(0, "trkx-bench-json")):
-                findings.append(Finding(
-                    sf.rel, 1, "trkx-bench-json",
-                    RULES["trkx-bench-json"]))
-            continue
         for i, code in enumerate(sf.code):
             for rule, pattern in PATTERN_RULES:
                 if not pattern.search(code):

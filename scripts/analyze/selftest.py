@@ -60,7 +60,7 @@ def main():
     fixtures = os.path.join(here, "fixtures")
     expected = load_expected(os.path.join(fixtures, "expected.txt"))
 
-    tree = SourceTree(fixtures, ("src", "bench"))
+    tree = SourceTree(fixtures, ("src",))
     actual = set()
     findings = []
     for mod in PASSES:

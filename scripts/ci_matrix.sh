@@ -33,18 +33,17 @@
 #                reload), asserting exit codes and the serve.* counter
 #                contract on stdout; the summary carries the baseline
 #                run's counters map
-#   perf         scripts/trkx-bench quick profile against the release
-#                build, gated by scripts/check_regression.py against the
-#                committed BENCH_PR10.json trajectory; the summary carries
-#                the regression count and per-bench verdicts
+#   perf         the benchmark of record's self-test (perfbench/selftest.py,
+#                smoke scale): every BENCHMARK.json metric printed with its
+#                unit, and the fingerprint, output and knob checks proven
+#                to trip
 #
 # Usage:
 #   scripts/ci_matrix.sh [--only NAME[,NAME...]] [--out SUMMARY.json]
 #
 # Each configuration builds under build-ci/<name>; logs live next to the
 # binaries. The summary JSON (default build-ci/ci_summary.json) follows
-# the schema validated by scripts/check_ci_summary.py — the same
-# artifact-plus-validator pattern as the bench JSON — so downstream
+# the schema validated by scripts/check_ci_summary.py, so downstream
 # tooling can gate on it without scraping logs. Exit code: number of
 # failed configurations.
 
@@ -70,15 +69,13 @@ export TSAN_OPTIONS="halt_on_error=1:suppressions=$SUPP/tsan.supp"
 
 mkdir -p build-ci
 NAMES=() STATUSES=() SECONDS_LIST=() DETAILS=() FINDINGS_LIST=()
-REGRESSIONS_LIST=() VERDICTS_LIST=() BY_PASS_LIST=() COUNTERS_LIST=()
+BY_PASS_LIST=() COUNTERS_LIST=()
 
 record() {  # record <name> <status> <seconds> <detail> [findings]
-            #        [regressions] [verdicts-json] [findings-by-pass-json]
-            #        [counters-json]
+            #        [findings-by-pass-json] [counters-json]
   NAMES+=("$1"); STATUSES+=("$2"); SECONDS_LIST+=("$3"); DETAILS+=("$4")
-  FINDINGS_LIST+=("${5:-}")
-  REGRESSIONS_LIST+=("${6:-}"); VERDICTS_LIST+=("${7:-}")
-  BY_PASS_LIST+=("${8:-}"); COUNTERS_LIST+=("${9:-}")
+  FINDINGS_LIST+=("${5:-}"); BY_PASS_LIST+=("${6:-}")
+  COUNTERS_LIST+=("${7:-}")
   printf '[ci-matrix] %-12s %-5s (%ss) %s\n' "$1" "$2" "$3" "$4"
 }
 
@@ -316,37 +313,16 @@ EOF
     serve_log="$dir/build.log"
   fi
   record serve "$status" "$(( $(date +%s) - t0 ))" "$serve_log" \
-    "" "" "" "" "$counters"
+    "" "" "$counters"
 fi
 
 if wants perf; then
+  # perfbench builds its own tree (.bench_build/) from this checkout.
   t0=$(date +%s)
-  dir=build-ci/perf
-  perf_log="$dir/perf.log"
-  status=pass regressions="" verdicts=""
-  mkdir -p "$dir"
-  if cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-       > "$dir/configure.log" 2>&1 &&
-     cmake --build "$dir" -j "$JOBS" > "$dir/build.log" 2>&1; then
-    if python3 scripts/trkx-bench --build-dir "$dir" --profile quick \
-         --out "$dir/BENCH.json" > "$perf_log" 2>&1; then
-      python3 scripts/check_regression.py BENCH_PR10.json "$dir/BENCH.json" \
-        --report "$dir/regression.json" >> "$perf_log" 2>&1 || status=fail
-      if [ -f "$dir/regression.json" ]; then
-        regressions=$(python3 -c "import json; \
-print(json.load(open('$dir/regression.json'))['regressions'])")
-        verdicts=$(python3 -c "import json; \
-print(json.dumps(json.load(open('$dir/regression.json'))['verdicts']))")
-      fi
-    else
-      status=fail
-    fi
-  else
-    status=fail
-    perf_log="$dir/build.log"
-  fi
-  record perf "$status" "$(( $(date +%s) - t0 ))" "$perf_log" "" \
-    "$regressions" "$verdicts"
+  perf_log=build-ci/perf.log
+  status=pass
+  python3 perfbench/selftest.py > "$perf_log" 2>&1 || status=fail
+  record perf "$status" "$(( $(date +%s) - t0 ))" "$perf_log"
 fi
 
 if wants analyze; then
@@ -375,7 +351,7 @@ if wants analyze; then
   [ -f build-ci/analyze_counts.json ] && \
     by_pass=$(cat build-ci/analyze_counts.json)
   record analyze "$status" "$(( $(date +%s) - t0 ))" "$analyze_log" \
-    "$findings" "" "" "$by_pass"
+    "$findings" "$by_pass"
 fi
 
 if wants lint-tidy; then
@@ -408,10 +384,6 @@ FAILED=0
     [ "${STATUSES[$i]}" = fail ] && FAILED=$((FAILED + 1))
     extra=""
     [ -n "${FINDINGS_LIST[$i]}" ] && extra=", \"findings\": ${FINDINGS_LIST[$i]}"
-    [ -n "${REGRESSIONS_LIST[$i]}" ] && \
-      extra="$extra, \"regressions\": ${REGRESSIONS_LIST[$i]}"
-    [ -n "${VERDICTS_LIST[$i]}" ] && \
-      extra="$extra, \"verdicts\": ${VERDICTS_LIST[$i]}"
     [ -n "${BY_PASS_LIST[$i]}" ] && \
       extra="$extra, \"findings_by_pass\": ${BY_PASS_LIST[$i]}"
     [ -n "${COUNTERS_LIST[$i]}" ] && \

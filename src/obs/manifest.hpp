@@ -17,10 +17,9 @@ namespace trkx {
 ///   * the metrics JSON dump            ("manifest": {...})
 ///   * the Chrome trace export          ("metadata": {"manifest": {...}})
 ///   * the time-series JSONL stream     (first line)
-///   * every bench JSON artifact        (schema trkx-bench-v2)
 ///
-/// so any two numbers in the perf trajectory can be compared knowing
-/// whether code, config, or machine changed between them.
+/// so any two runs can be compared knowing whether code, config, or
+/// machine changed between them.
 struct RunManifest {
   std::string schema = "trkx-manifest-v1";
   std::string tool;        ///< binary / bench name (argv[0] basename)

@@ -58,15 +58,14 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
   for (std::size_t r = 0; r < num_roots; ++r) root_rngs.push_back(rng.split());
 
   WallTimer timer;
-  const bool fused = config_.fused_sampling && !config_.generic_spgemm;
   for (std::size_t level = 0; level < config_.depth; ++level) {
     if (frontier.empty()) break;
     CsrMatrix sampled;
-    if (fused) {
+    if (!config_.generic_spgemm) {
       // Fused dataflow: row extraction (P = Q·A ≡ row selection of A),
       // row normalisation, and the neighbour draw all happen in one pass
       // over the adjacency's CSR rows — P is never materialised. Samples
-      // are bit-identical to the unfused path below.
+      // are bit-identical to the generic path below.
       timer.reset();
       {
         TRKX_TRACE_SPAN("shadow.fused_draw", "sample");
@@ -85,21 +84,16 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
         stats->sampled_nnz += sampled.nnz();
       }
     } else {
-      // P = Q·A: each row is one frontier vertex's neighbourhood. Q has
-      // one nonzero per row, so the product is a row selection of A; the
-      // generic_spgemm path runs the same product through the general
-      // kernel (identical result, used for validation and as the paper's
-      // literal formulation).
+      // The paper's literal formulation, kept as the reference the fused
+      // pass is validated against: P = Q·A through the general SpGEMM
+      // kernel (each row is one frontier vertex's neighbourhood), then
+      // row normalisation and the draw as separate passes.
       timer.reset();
       CsrMatrix p;
       {
         TRKX_TRACE_SPAN("shadow.spgemm", "sample");
-        if (config_.generic_spgemm) {
-          const CsrMatrix q = CsrMatrix::selection(n, frontier);
-          p = spgemm(q, sym_adj_);
-        } else {
-          p = sym_adj_.select_rows(frontier);
-        }
+        const CsrMatrix q = CsrMatrix::selection(n, frontier);
+        p = spgemm(q, sym_adj_);
       }
       metrics().counter("sample.spgemm_calls").add(1);
       metrics().counter("sample.frontier_rows").add(frontier.size());

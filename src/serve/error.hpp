@@ -30,15 +30,15 @@ class DeadlineExceededError : public Error {
   using Error::Error;
 };
 
-/// One stage attempt exceeded its per-stage wall-time budget
-/// (TRKX_SERVE_STAGE_TIMEOUT_MS). Counted as a failed attempt against the
-/// retry budget; surfaces as RetryExhaustedError once that runs out.
+/// A stage exceeded its per-stage wall-time budget
+/// (TRKX_SERVE_STAGE_TIMEOUT_MS). Never retried: re-running a slow stage
+/// would double the work of exactly the slow requests under overload.
 class StageTimeoutError : public Error {
  public:
   using Error::Error;
 };
 
-/// A stage kept failing (injected fault, timeout, corrupt input) until the
+/// A stage kept failing (injected fault, corrupt input) until the
 /// bounded retry budget ran out. The message carries the stage name and
 /// the final attempt's error.
 class RetryExhaustedError : public Error {

@@ -205,44 +205,41 @@ void ServeServer::run_stage(Stage stage, const Deadline& deadline,
          << " (overshoot " << deadline.overshoot_ms() << " ms)";
       throw DeadlineExceededError(os.str());
     }
-    bool timed_out = false;
-    std::string attempt_error;
     const auto t0 = std::chrono::steady_clock::now();
     try {
       fault::inject("serve.stage");
       body();
-      const double ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-      // NOLINT(trkx-kernel-dispatch): scalar telemetry sum, not a kernel
-      result.stage_seconds[idx] += ms * 1e-3;
-      stage_ms_[idx]->observe(ms);
-      if (config_.stage_timeout_ms <= 0 ||
-          ms <= static_cast<double>(config_.stage_timeout_ms)) {
-        return;  // the stage attempt succeeded within budget
-      }
-      stage_timeout_->add(1);
-      timed_out = true;
-      std::ostringstream os;
-      os << "stage " << stage_name(stage) << " took " << ms
-         << " ms (budget " << config_.stage_timeout_ms << " ms)";
-      attempt_error = os.str();
     } catch (const DeadlineExceededError&) {
       throw;  // not an attempt failure: the request's budget is gone
     } catch (const Error& e) {
-      attempt_error = e.what();
+      if (attempt >= config_.retry_budget) {
+        std::ostringstream os;
+        os << "serve: stage " << stage_name(stage) << " failed after "
+           << attempt + 1 << " attempt(s): " << e.what();
+        retry_exhausted_->add(1);
+        throw RetryExhaustedError(os.str());
+      }
+      retry_->add(1);
+      ++result.retries;
+      continue;
     }
-    if (attempt >= config_.retry_budget) {
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    // NOLINT(trkx-kernel-dispatch): scalar telemetry sum, not a kernel
+    result.stage_seconds[idx] += ms * 1e-3;
+    stage_ms_[idx]->observe(ms);
+    if (config_.stage_timeout_ms > 0 &&
+        ms > static_cast<double>(config_.stage_timeout_ms)) {
+      // Only thrown faults are retried. A slow stage is not re-run: that
+      // would double the work of exactly the slow requests under overload.
+      stage_timeout_->add(1);
       std::ostringstream os;
-      os << "serve: stage " << stage_name(stage) << " failed after "
-         << attempt + 1 << " attempt(s): " << attempt_error;
-      if (timed_out) throw StageTimeoutError(os.str());
-      retry_exhausted_->add(1);
-      throw RetryExhaustedError(os.str());
+      os << "serve: stage " << stage_name(stage) << " took " << ms
+         << " ms (budget " << config_.stage_timeout_ms << " ms)";
+      throw StageTimeoutError(os.str());
     }
-    retry_->add(1);
-    ++result.retries;
+    return;
   }
 }
 

@@ -23,12 +23,12 @@ struct ServeConfig {
   /// Default per-request wall-clock budget in ms applied by the
   /// two-argument submit(); 0 = unbounded. TRKX_SERVE_DEADLINE_MS.
   std::int64_t default_deadline_ms = 0;
-  /// Per-stage latency budget in ms; a stage exceeding it counts as a
-  /// failed attempt (retried within the budget, then StageTimeoutError).
+  /// Per-stage latency budget in ms; a stage exceeding it fails the
+  /// request with StageTimeoutError at once (never retried).
   /// 0 = no per-stage timeout. TRKX_SERVE_STAGE_TIMEOUT_MS.
   std::int64_t stage_timeout_ms = 0;
-  /// Stage attempts beyond the first; 0 = fail fast.
-  /// TRKX_SERVE_RETRY_BUDGET.
+  /// Stage attempts beyond the first after a thrown fault; 0 = fail
+  /// fast. TRKX_SERVE_RETRY_BUDGET.
   int retry_budget = 1;
   double b_field_tesla = 2.0;  ///< solenoid field for the fit stage [T]
   DegradeConfig degrade{};     ///< high/low from TRKX_SERVE_SHED_*_PCT
@@ -49,7 +49,7 @@ struct ServeCounters {
   std::uint64_t rejected_admit_fault = 0; ///< injected serve.admit fault
   std::uint64_t shed_queued = 0;          ///< queued kLow failed on escalation
   std::uint64_t deadline_expired = 0;     ///< abandoned before/between stages
-  std::uint64_t stage_timeouts = 0;       ///< attempts past stage_timeout_ms
+  std::uint64_t stage_timeouts = 0;       ///< stages past stage_timeout_ms
   std::uint64_t retries = 0;              ///< stage attempts beyond the first
   std::uint64_t retries_exhausted = 0;
   std::uint64_t completed = 0;
@@ -111,7 +111,7 @@ class ServeServer {
                                    const StagePlan& plan,
                                    Request& request) const;
   /// One stage with retry/timeout accounting; `body` must be re-runnable
-  /// (the stage entry points recompute from scratch). Declared here,
+  /// after a thrown fault (the stage entry points recompute from scratch). Declared here,
   /// instantiated only in server.cpp.
   template <typename Fn>
   void run_stage(Stage stage, const Deadline& deadline, ServeResult& result,

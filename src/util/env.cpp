@@ -17,9 +17,6 @@ namespace {
 /// new knob lands as: (1) a row here, (2) an accessor call site, (3) a
 /// regenerated README table. Keep the doc strings one line.
 constexpr Knob kKnobs[] = {
-    {"TRKX_BENCH_JSON", "",
-     "Default output path for the unified bench JSON artifact (same as "
-     "--json-out)"},
     {"TRKX_CHECK_NUMERICS", "0",
      "Enable forward/backward finiteness checks through the autograd tape "
      "(debug mode)"},

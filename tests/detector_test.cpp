@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "detector/helix.hpp"
@@ -416,6 +417,62 @@ TEST(PresetsTest, CtdDenserThanEx3) {
   const double ratio_ctd =
       static_cast<double>(e_ctd.num_edges()) / e_ctd.num_hits();
   EXPECT_GT(ratio_ctd, ratio_ex3);
+}
+
+// Golden fingerprint of the bench presets at a fixed seed. A generator
+// change moves these numbers, so it lands as a reviewed diff here rather
+// than as a silent workload change under every benchmark. Only integer
+// fields are hashed (layers, particle ids, edge endpoints, labels), so a
+// last-bit float difference across builds or SIMD pins cannot flip it.
+struct PresetFingerprint {
+  std::size_t events = 0;
+  std::size_t hits = 0;
+  std::size_t edges = 0;
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 1099511628211ull;  // FNV-1a prime
+    }
+  }
+};
+
+PresetFingerprint fingerprint_preset(const DatasetSpec& spec) {
+  const Dataset ds = generate_dataset(spec.name, spec.detector, 2, 1, 1, 7);
+  PresetFingerprint fp;
+  for (const auto* split : {&ds.train, &ds.val, &ds.test}) {
+    for (const Event& e : *split) {
+      ++fp.events;
+      fp.hits += e.num_hits();
+      fp.edges += e.num_edges();
+      fp.mix(e.num_hits());
+      fp.mix(e.num_edges());
+      for (const Hit& h : e.hits) {
+        fp.mix(h.layer);
+        fp.mix(static_cast<std::uint32_t>(h.particle));
+      }
+      for (const Edge& edge : e.graph.edges()) {
+        fp.mix(edge.src);
+        fp.mix(edge.dst);
+      }
+      for (char label : e.edge_labels) fp.mix(static_cast<std::uint8_t>(label));
+    }
+  }
+  return fp;
+}
+
+TEST(PresetsTest, GoldenFingerprint) {
+  const PresetFingerprint ex3 = fingerprint_preset(ex3_spec(0.02));
+  EXPECT_EQ(ex3.events, 4u);
+  EXPECT_EQ(ex3.hits, 1193u);
+  EXPECT_EQ(ex3.edges, 2178u);
+  EXPECT_EQ(ex3.hash, 14161979408645321013ull);
+  const PresetFingerprint ctd = fingerprint_preset(ctd_spec(0.002));
+  EXPECT_EQ(ctd.events, 4u);
+  EXPECT_EQ(ctd.hits, 2866u);
+  EXPECT_EQ(ctd.edges, 12119u);
+  EXPECT_EQ(ctd.hash, 11601968404850898143ull);
 }
 
 }  // namespace

@@ -387,7 +387,7 @@ TEST_F(ServeTest, PersistentStageFaultExhaustsRetriesChaos) {
 TEST_F(ServeTest, SlowStageTimesOutChaos) {
   // 30 ms injected stage delay against a 5 ms per-stage budget with no
   // retries: the attempt "succeeds" but blows its budget -> typed
-  // StageTimeoutError (the post-hoc timeout treats it as a failed attempt).
+  // StageTimeoutError.
   fault::Registry::global().arm_from_string("serve.stage:delay:nth=1:ms=30");
   auto replicas = make_replicas();
   serve::ServeConfig cfg;
@@ -402,6 +402,27 @@ TEST_F(ServeTest, SlowStageTimesOutChaos) {
   server.stop();
   const serve::ServeCounters after = server.counters();
   EXPECT_GE(after.stage_timeouts - before.stage_timeouts, 1u);
+}
+
+TEST_F(ServeTest, TimedOutStageIsNeverRetriedChaos) {
+  // Same slow first stage, but with retry budget to spare: a timeout is
+  // not a fault, so the stage is not re-run (a rerun would double the work
+  // of exactly the slow requests and re-mutate the event).
+  fault::Registry::global().arm_from_string("serve.stage:delay:nth=1:ms=30");
+  auto replicas = make_replicas();
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.retry_budget = 2;
+  cfg.stage_timeout_ms = 5;
+  serve::ServeServer server(*replicas, cfg);
+  const serve::ServeCounters before = server.counters();
+  server.start();
+  auto f = server.submit(payloads_[0], serve::Priority::kNormal);
+  EXPECT_THROW(f.get(), serve::StageTimeoutError);
+  server.stop();
+  const serve::ServeCounters after = server.counters();
+  EXPECT_EQ(after.retries - before.retries, 0u);
+  EXPECT_EQ(after.stage_timeouts - before.stage_timeouts, 1u);
 }
 
 TEST_F(ServeTest, AdmitFaultIsFastTypedRejectionChaos) {
