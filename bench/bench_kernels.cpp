@@ -1,6 +1,7 @@
 // Kernel-layer roofline: per-kernel bandwidth (GB/s) and arithmetic
-// throughput (GFLOP/s) for the scalar and AVX2 dispatch tables at
-// pipeline-representative shapes.
+// throughput (GFLOP/s) for the scalar and AVX2 dispatch tables — the GEMM
+// family at the hidden-32 shapes training runs, the streaming kernels at
+// a generic 8192 × 64 size.
 //
 //   ./bench_kernels [--reps 9] [--inner 4]
 //
@@ -54,18 +55,33 @@ struct Workload {
   double scalar_s = 0.0;
 };
 
-/// Pipeline-representative shapes: hidden_dim 64 message passing over
-/// ~8k-node sampled subgraphs (ShaDow depth-2 fanout-4 batches).
+/// Streaming kernels (spmm, gather, elementwise, reductions, layer norm,
+/// Adam) run on 8192 × 64 floats: 2 MiB per operand, a generic
+/// message-passing size rather than one particular layer.
 constexpr std::size_t kRows = 8192;
 constexpr std::size_t kCols = 64;
-constexpr std::size_t kInner = 64;
 constexpr std::size_t kEwN = kRows * kCols;
+
+/// The GEMM family runs the hidden-32 edge-MLP shapes of training: the
+/// first edge-MLP layer maps the 6h = 192-wide message input of every
+/// edge to h = 32, so forward is gemm (E×192 · 192×32), the input
+/// gradient gemm_nt (E×32 · (192×32)ᵀ) and the weight gradient gemm_tn
+/// ((E×192)ᵀ · E×32). E is a ShaDow minibatch's edge count order; the
+/// activation operand is post-relu (about half exact zeros), so the
+/// zero-skip the kernels keep is exercised as in training.
+constexpr std::size_t kEdges = 16384;
+constexpr std::size_t kHidden = 32;
+constexpr std::size_t kMsgIn = 6 * kHidden;
 
 void run_isa(const kernels::KernelTable& t, int reps, int inner,
              std::vector<Workload>& loads, bool is_scalar) {
   Rng rng(17);
-  const Matrix a = Matrix::random_normal(kRows, kInner, rng);
-  const Matrix b = Matrix::random_normal(kInner, kCols, rng);
+  Matrix act = Matrix::random_normal(kEdges, kMsgIn, rng);  // E×192
+  for (std::size_t i = 0; i < act.size(); ++i)
+    act.data()[i] = std::max(act.data()[i], 0.0f);
+  const Matrix wt = Matrix::random_normal(kMsgIn, kHidden, rng);    // 192×32
+  const Matrix dy = Matrix::random_normal(kEdges, kHidden, rng);    // E×32
+  Matrix h_out(kEdges, kHidden), dx(kEdges, kMsgIn), dw(kMsgIn, kHidden);
   const Matrix x = Matrix::random_normal(kRows, kCols, rng);
   const Matrix y = Matrix::random_normal(kRows, kCols, rng);
   Matrix out(kRows, kCols);
@@ -98,13 +114,30 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
     std::function<void()> fn;
   };
   const double fR = static_cast<double>(kRows), fC = static_cast<double>(kCols),
-               fK = static_cast<double>(kInner), fN = static_cast<double>(kEwN);
+               fN = static_cast<double>(kEwN);
+  const double fE = static_cast<double>(kEdges),
+               fH = static_cast<double>(kHidden),
+               fI = static_cast<double>(kMsgIn);
+  // GEMM bytes: each operand read once and the output written (plus read
+  // for the accumulating gemm/gemm_tn); flops count the dense 2·m·k·n.
+  const double gemm_flops = 2.0 * fE * fI * fH;
   std::vector<Case> cases;
-  cases.push_back({"gemm", 4.0 * (fR * fK + fK * fC + 2.0 * fR * fC),
-                   2.0 * fR * fK * fC, [&] {
-                     std::memset(out.data(), 0, kEwN * sizeof(float));
-                     t.gemm(a.data(), b.data(), out.data(), kRows, kInner,
-                            kCols);
+  cases.push_back({"gemm", 4.0 * (fE * fI + fI * fH + 2.0 * fE * fH),
+                   gemm_flops, [&] {
+                     std::memset(h_out.data(), 0, h_out.size() * sizeof(float));
+                     t.gemm(act.data(), wt.data(), h_out.data(), kEdges,
+                            kMsgIn, kHidden);
+                   }});
+  cases.push_back({"gemm_nt", 4.0 * (fE * fH + fI * fH + fE * fI),
+                   gemm_flops, [&] {
+                     t.gemm_nt(dy.data(), wt.data(), dx.data(), kEdges,
+                               kHidden, kMsgIn);
+                   }});
+  cases.push_back({"gemm_tn", 4.0 * (fE * fI + fE * fH + 2.0 * fI * fH),
+                   gemm_flops, [&] {
+                     std::memset(dw.data(), 0, dw.size() * sizeof(float));
+                     t.gemm_tn(act.data(), dy.data(), dw.data(), kMsgIn,
+                               kEdges, kHidden);
                    }});
   cases.push_back({"spmm", 4.0 * (nnz * 2.0 + fR * fC * 2.0 + nnz * fC),
                    2.0 * nnz * fC, [&] {

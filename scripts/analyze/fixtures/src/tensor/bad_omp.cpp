@@ -27,4 +27,15 @@ void fixture_shared_write(const float* data, std::size_t n, double* out) {
   *out = total;
 }
 
+template <int N>
+inline float fixture_scaled(float x) {
+  return x * static_cast<float>(N);
+}
+
+// Clean: a function-template call is a call, not a captured variable.
+void fixture_template_call(float* dst, std::size_t n) {
+#pragma omp parallel for default(none) shared(dst) firstprivate(n)
+  for (std::size_t i = 0; i < n; ++i) dst[i] = fixture_scaled<2>(dst[i]);
+}
+
 }  // namespace trkx

@@ -212,6 +212,24 @@ def _declared(tokens):
     return declared, types
 
 
+def _is_template_call(tokens, lt):
+    """True when tokens[lt] is a '<' opening a template argument list
+    whose closing '>' is directly followed by '(' — `f<3>(x)` is a call
+    of a function template, not a comparison of a captured `f`."""
+    depth = 0
+    for j in range(lt, len(tokens)):
+        t = tokens[j][0]
+        if t == "<":
+            depth += 1
+        elif t == ">":
+            depth -= 1
+            if depth == 0:
+                return j + 1 < len(tokens) and tokens[j + 1][0] == "("
+        elif t in (";", "{", "}", "&&", "||"):
+            return False
+    return False
+
+
 def _usages(tokens, declared, types):
     """Identifier -> first line it is used as a plain variable."""
     used = {}
@@ -231,7 +249,7 @@ def _usages(tokens, declared, types):
         nxt = tokens[i + 1][0] if i + 1 < n else None
         if prev in (".", "->", "::"):
             continue  # member access — the base object is the capture
-        if nxt == "(":
+        if nxt == "(" or (nxt == "<" and _is_template_call(tokens, i + 1)):
             continue  # function call (callables in clauses still count
             # as "used" via the textual unused-clause check)
         used.setdefault(t, line)

@@ -32,6 +32,12 @@ struct AdamStep {
 ///     and the AVX2 build never FMA-contracts them;
 ///   - ULP-bounded (reassociated reductions / FMA): gemm, gemm_nt,
 ///     gemm_tn, spmm, rowwise_sum, layer_norm_fwd, layer_norm_bwd_dx.
+///     The AVX2 gemm, gemm_nt and gemm_tn are register-blocked, yet every
+///     output still sees the op sequence of the plain AVX2 row loops they
+///     replaced (FMA order, zero-skip, mul-then-add tails), so they are
+///     bit-identical to those loops at any thread count — pinned by
+///     KernelEquivalence.GemmFamilyAvx2Pinned — and training digests do
+///     not move with the blocking.
 ///
 /// GEMM/SpMM outputs marked "accumulating" must be zero-filled by the
 /// caller; the kernel adds into them.

@@ -7,10 +7,11 @@
 //   TRKX_KERNELS_AVX2  1 to emit AVX2+FMA intrinsic paths, 0 for scalar
 //   TRKX_KERNELS_NAME  display name stored in the KernelTable
 //
-// The AVX2 TU is compiled with -mavx2 -mfma -ffp-contract=off: FMA enters
-// only through explicit _mm256_fmadd_ps, so the scalar tail loops and the
-// kernels documented as bit-identical (see kernels.hpp) never get
-// auto-contracted away from the scalar reference's mul-then-add rounding.
+// The AVX2 bodies get AVX2+FMA from a target pragma below; the TU is
+// compiled with -ffp-contract=off, so FMA enters only through explicit
+// _mm256_fmadd_ps and the scalar tail loops and the kernels documented as
+// bit-identical (see kernels.hpp) never get auto-contracted away from the
+// scalar reference's mul-then-add rounding.
 //
 // The scalar bodies reproduce the historical loops from ops.cpp /
 // tape.cpp / optimizer.cpp token for token (loop order, k-tiling,
@@ -30,21 +31,38 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "tensor/kernels/kernels.hpp"
 #include "util/error.hpp"
 
 #if TRKX_KERNELS_AVX2
 #include <immintrin.h>
+// The ISA is scoped to the kernel bodies, not the whole translation unit:
+// inline code the includes above bring in (trkx::Error, TRKX_CHECK's
+// throw helper, std::string members) is emitted as weak symbols in this
+// object too, and the linker may keep this copy for the whole binary —
+// so it must stay baseline x86-64. The target is popped before table().
+#if defined(__clang__)
+#pragma clang attribute push(__attribute__((target("avx2,fma"))), \
+                             apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+#endif
 #endif
 
 namespace trkx {
 namespace kernels {
 namespace TRKX_KERNELS_NS {
 
-/// Micro-kernel tile size for the k-loop blocking in gemm (one tile of B
-/// rows stays in L1; hidden dims here are ≤ 256 so simple blocking wins).
+/// k-loop tile of the scalar gemm (one tile of B rows stays in L1).
 constexpr std::size_t kTile = 64;
+/// AVX2 GEMM register block: kMr rows × 32 columns = 12 ymm accumulators.
+constexpr std::size_t kMr = 3;
+/// AVX2 GEMM k block: at n = 32 one k block of B is 32 KiB and stays in L1
+/// while every row block streams over it (gemm's k ≤ 192 is one block).
+constexpr std::size_t kKc = 256;
 /// Per-task elementwise chunk: large enough to amortise OpenMP dispatch,
 /// small enough to split pipeline-sized vectors across cores.
 constexpr std::size_t kEwBlock = 8192;
@@ -92,30 +110,12 @@ inline void mac_row(float* c, const float* b, float a, std::size_t n) {
 #endif
 }
 
-/// Dot product of two contiguous rows (reassociated in the AVX2 build).
+/// Dot product of two contiguous rows (scalar gemm_nt; the AVX2 build
+/// vectorises across outputs in gemm_nt_tile instead).
 inline float dot_row(const float* a, const float* b, std::size_t n) {
-#if TRKX_KERNELS_AVX2
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j + 8),
-                           _mm256_loadu_ps(b + j + 8), acc1);
-  }
-  for (; j + 8 <= n; j += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-  }
-  float acc = hsum8(_mm256_add_ps(acc0, acc1));
-  for (; j < n; ++j) acc += a[j] * b[j];
-  return acc;
-#else
   float acc = 0.0f;
   for (std::size_t j = 0; j < n; ++j) acc += a[j] * b[j];
   return acc;
-#endif
 }
 
 /// Sum of one row (reassociated in the AVX2 build).
@@ -391,8 +391,206 @@ inline void adam_block(float* w, const float* g, float* m, float* v,
 // KernelTable entry points: shape loops + OpenMP, primitives per row.
 // ---------------------------------------------------------------------
 
+#if TRKX_KERNELS_AVX2
+/// Register-blocked GEMM tile: C[MR × 8·NV] += A[MR × kc] · B[kc × 8·NV]
+/// with the C block held in MR·NV ymm accumulators across the whole k
+/// loop. A element (r, kk) is a[r·a_rs + kk·a_ks]; B row kk starts at
+/// b + kk·ldb; C row r at c + r·ldc. Every C element gets mac_row's exact
+/// result: one FMA per kk, ascending, and none where A is ±0. The skip is
+/// a compare + mask rather than a branch: a skipped step multiplies -0 by
+/// a zeroed B lane, and acc + (-0) is acc bit for bit (a -0.0f, ∞ or NaN
+/// accumulator, and ∞/NaN in B, included).
+template <std::size_t MR, std::size_t NV>
+inline void gemm_tile(const float* a, std::size_t a_rs, std::size_t a_ks,
+                      const float* b, std::size_t ldb, float* c,
+                      std::size_t ldc, std::size_t kc) {
+  __m256 acc[MR][NV];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v)
+      acc[r][v] = _mm256_loadu_ps(c + r * ldc + 8 * v);
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 neg_zero = _mm256_set1_ps(-0.0f);
+  for (std::size_t kk = 0; kk < kc; ++kk) {
+    const float* brow = b + kk * ldb;
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) {
+      const __m256 va = _mm256_broadcast_ss(a + r * a_rs + kk * a_ks);
+      const __m256 skip = _mm256_cmp_ps(va, zero, _CMP_EQ_OQ);
+      const __m256 vs = _mm256_or_ps(va, _mm256_and_ps(skip, neg_zero));
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < NV; ++v) {
+        const __m256 vb =
+            _mm256_andnot_ps(skip, _mm256_loadu_ps(brow + 8 * v));
+        acc[r][v] = _mm256_fmadd_ps(vs, vb, acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v)
+      _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+}
+
+/// One row block of gemm_blocked over one k block: 32-column tiles, then
+/// one 8/16/24-column tile, then the scalar tail columns (j ≥ 8·⌊n/8⌋),
+/// which keep mac_row's mul-then-add with the same zero-skip.
+template <std::size_t MR>
+inline void gemm_row_block(const float* a, std::size_t a_rs,
+                           std::size_t a_ks, const float* b, float* c,
+                           std::size_t n, std::size_t kc) {
+  const std::size_t n8 = n / 8 * 8;
+  std::size_t j = 0;
+  for (; j + 32 <= n8; j += 32)
+    gemm_tile<MR, 4>(a, a_rs, a_ks, b + j, n, c + j, n, kc);
+  switch ((n8 - j) / 8) {
+    case 3: gemm_tile<MR, 3>(a, a_rs, a_ks, b + j, n, c + j, n, kc); break;
+    case 2: gemm_tile<MR, 2>(a, a_rs, a_ks, b + j, n, c + j, n, kc); break;
+    case 1: gemm_tile<MR, 1>(a, a_rs, a_ks, b + j, n, c + j, n, kc); break;
+    default: break;
+  }
+  for (j = n8; j < n; ++j) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      const float* ar = a + r * a_rs;
+      float acc = c[r * n + j];
+      for (std::size_t kk = 0; kk < kc; ++kk) {
+        const float aik = ar[kk * a_ks];
+        const float sum = acc + aik * b[kk * n + j];
+        acc = aik == 0.0f ? acc : sum;
+      }
+      c[r * n + j] = acc;
+    }
+  }
+}
+
+/// C (m×n, accumulating) += A · B for B row-major k×n and A element
+/// (i, kk) at a[i·a_rs + kk·a_ks]: a_rs = k, a_ks = 1 is gemm's row-major
+/// m×k A; a_rs = 1, a_ks = m is gemm_tn's k×m Aᵀ. k is walked in kKc
+/// blocks (each C block is stored and reloaded between them, which is
+/// exact), so the A and B panels of a k block stay cache-resident while
+/// every row block streams over them; each element still accumulates in
+/// ascending k.
+inline void gemm_blocked(const float* a, std::size_t a_rs, std::size_t a_ks,
+                         const float* b, float* c, std::size_t m,
+                         std::size_t k, std::size_t n) {
+  static_assert(kMr == 3, "the row-block switch below covers 1..3 rows");
+  const std::size_t row_blocks = (m + kMr - 1) / kMr;
+#pragma omp parallel default(none) shared(a, b, c) \
+    firstprivate(a_rs, a_ks, m, k, n, row_blocks)
+  {
+    for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
+      const std::size_t kc = std::min(std::size_t{kKc}, k - k0);
+      // Static schedule with an unchanged trip count hands every thread
+      // the same row blocks in each k block, so nowait is race-free.
+#pragma omp for schedule(static) nowait
+      for (std::size_t ib = 0; ib < row_blocks; ++ib) {
+        const std::size_t i0 = ib * kMr;
+        const float* ab = a + i0 * a_rs + k0 * a_ks;
+        const float* bb = b + k0 * n;
+        float* cb = c + i0 * n;
+        switch (std::min(std::size_t{kMr}, m - i0)) {
+          case 3: gemm_row_block<3>(ab, a_rs, a_ks, bb, cb, n, kc); break;
+          case 2: gemm_row_block<2>(ab, a_rs, a_ks, bb, cb, n, kc); break;
+          default: gemm_row_block<1>(ab, a_rs, a_ks, bb, cb, n, kc); break;
+        }
+      }
+    }
+  }
+}
+
+/// One dot-product lane l of gemm_nt_tile for NV output vectors:
+/// t[v] = acc0 + acc1, the lane's two FMA chains.
+template <std::size_t NV>
+inline void gemm_nt_lane(const float* arow, const float* bt, std::size_t ldb,
+                         std::size_t k, std::size_t l, __m256* t) {
+  const std::size_t k16 = k / 16 * 16;
+  __m256 acc0[NV], acc1[NV];
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v) {
+    acc0[v] = _mm256_setzero_ps();
+    acc1[v] = _mm256_setzero_ps();
+  }
+  std::size_t kk = 0;
+  for (; kk < k16; kk += 16) {
+    const __m256 a0 = _mm256_broadcast_ss(arow + kk + l);
+    const __m256 a1 = _mm256_broadcast_ss(arow + kk + 8 + l);
+    const float* b0 = bt + (kk + l) * ldb;
+    const float* b1 = bt + (kk + 8 + l) * ldb;
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc0[v] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + 8 * v), acc0[v]);
+      acc1[v] = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + 8 * v), acc1[v]);
+    }
+  }
+  if (kk + 8 <= k) {
+    const __m256 a0 = _mm256_broadcast_ss(arow + kk + l);
+    const float* b0 = bt + (kk + l) * ldb;
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v)
+      acc0[v] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + 8 * v), acc0[v]);
+  }
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v)
+    t[v] = _mm256_add_ps(acc0[v], acc1[v]);
+}
+
+/// gemm_nt tile: out[0 .. 8·NV) = arow · Bᵀ for 8·NV consecutive outputs,
+/// one output per lane, from the transposed B (bt row kk holds B[·][kk];
+/// ldb ≥ 8·NV). Each output reproduces the historical AVX2 dot product
+/// exactly: two 8-lane FMA chains (acc0 over k ≡ 0..7 mod 16 plus the
+/// 8-chunk, acc1 over k ≡ 8..15 mod 16), the lane sum acc0 + acc1, the
+/// hsum8 tree ((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7)), then the k tail
+/// in mul-then-add. Writes only the first `valid` outputs.
+template <std::size_t NV>
+inline void gemm_nt_tile(const float* arow, const float* bt,
+                         std::size_t ldb, std::size_t k, float* out,
+                         std::size_t valid) {
+  __m256 p[NV], q[NV], x[NV], y[NV];
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 0, p);
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 4, x);
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v) p[v] = _mm256_add_ps(p[v], x[v]);
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 2, q);
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 6, x);
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v)
+    p[v] = _mm256_add_ps(p[v], _mm256_add_ps(q[v], x[v]));
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 1, q);
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 5, x);
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v) q[v] = _mm256_add_ps(q[v], x[v]);
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 3, y);
+  gemm_nt_lane<NV>(arow, bt, ldb, k, 7, x);
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v)
+    p[v] = _mm256_add_ps(p[v],
+                         _mm256_add_ps(q[v], _mm256_add_ps(y[v], x[v])));
+  for (std::size_t kk = k / 8 * 8; kk < k; ++kk) {
+    const __m256 va = _mm256_broadcast_ss(arow + kk);
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v)
+      p[v] = _mm256_add_ps(
+          p[v], _mm256_mul_ps(va, _mm256_loadu_ps(bt + kk * ldb + 8 * v)));
+  }
+  if (valid >= 8 * NV) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v) _mm256_storeu_ps(out + 8 * v, p[v]);
+  } else {
+    float buf[8 * NV];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v) _mm256_storeu_ps(buf + 8 * v, p[v]);
+    std::memcpy(out, buf, valid * sizeof(float));
+  }
+}
+#endif
+
 inline void gemm(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  gemm_blocked(a, k, 1, b, c, m, k, n);
+#else
   // i-k-j order with k-tiling and zero-skip, as the historical matmul.
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k, n)
@@ -406,10 +604,34 @@ inline void gemm(const float* a, const float* b, float* c, std::size_t m,
       }
     }
   }
+#endif
 }
 
 inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  // Transpose B once (n padded to whole vectors with zeros; padded lanes
+  // are computed but never stored), then vectorise across outputs.
+  const std::size_t ldb = (n + 7) / 8 * 8;
+  std::vector<float> bt(k * ldb, 0.0f);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t kk = 0; kk < k; ++kk) bt[kk * ldb + j] = b[j * k + kk];
+  const float* btp = bt.data();
+#pragma omp parallel for schedule(static) default(none) shared(a, c, btp) \
+    firstprivate(m, k, n, ldb)
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    std::size_t j = 0;
+    for (; j + 24 <= ldb; j += 24)
+      gemm_nt_tile<3>(arow, btp + j, ldb, k, crow + j, n - j);
+    switch ((ldb - j) / 8) {
+      case 2: gemm_nt_tile<2>(arow, btp + j, ldb, k, crow + j, n - j); break;
+      case 1: gemm_nt_tile<1>(arow, btp + j, ldb, k, crow + j, n - j); break;
+      default: break;
+    }
+  }
+#else
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k, n)
   for (std::size_t i = 0; i < m; ++i) {
@@ -417,10 +639,14 @@ inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
     float* crow = c + i * n;
     for (std::size_t j = 0; j < n; ++j) crow[j] = dot_row(arow, b + j * k, k);
   }
+#endif
 }
 
 inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  gemm_blocked(a, 1, m, b, c, m, k, n);
+#else
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k, n)
   for (std::size_t i = 0; i < m; ++i) {
@@ -430,6 +656,7 @@ inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
       mac_row(c + i * n, b + kk * n, aki, n);
     }
   }
+#endif
 }
 
 inline void spmm(const std::uint64_t* row_ptr, const std::uint32_t* col_idx,
@@ -580,6 +807,14 @@ inline void adam_update(float* w, const float* g, float* m, float* v,
                lr, b1, b2, eps, wd, ib1, ib2);
   }
 }
+
+#if TRKX_KERNELS_AVX2
+#if defined(__clang__)
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
+#endif
 
 /// This ISA's table (one static instance per TU).
 inline const KernelTable& table() {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "autograd/gradcheck.hpp"
@@ -180,6 +184,90 @@ TEST(KernelEquivalence, AdamUpdateBitIdentical) {
   }
 }
 
+// ---------- AVX2 GEMM family pinned to its historical loop order ----------
+
+/// Post-relu-like operand: about half exact zeros (the GEMM zero-skip
+/// path), plus one -0.0f and one denormal when the buffer is big enough.
+std::vector<float> relu_like_vec(std::size_t n, Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    x = rng.uniform(-2.0f, 2.0f);
+    if (x < 0.0f) x = 0.0f;
+  }
+  if (n > 1) v[1] = -0.0f;
+  if (n > 2) v[2] = 1e-40f;
+  return v;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<float>& v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(float); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+using GemmShape = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+/// (m, k, n) shapes hitting every blocking remainder of the AVX2 GEMM
+/// family — row blocks (m mod 3), column blocks (32, 8, scalar tail),
+/// k chunks (16, 8, scalar tail), k blocks — plus the hidden-32 training
+/// shapes (k = 192, n = 32 and its transposes).
+const GemmShape kPinnedShapes[] = {
+    {97, 192, 32}, {130, 32, 40}, {50, 32, 1},  {1, 1, 1},
+    {29, 27, 47},  {33, 8, 13},   {7, 5, 70},   {6, 17, 24},
+    {40, 600, 33}, {64, 32, 192}, {2, 1000, 9}, {3, 3, 3},
+    {5, 40, 20},
+};
+
+/// FNV-1a digests of gemm, gemm_nt and gemm_tn outputs over every pinned
+/// shape. The accumulating kernels start from a nonzero C with -0.0f
+/// entries so the zero-skip must leave those untouched bit for bit.
+std::array<std::uint64_t, 3> gemm_family_digests(
+    const kernels::KernelTable& t) {
+  std::array<std::uint64_t, 3> h{0xcbf29ce484222325ull, 0xcbf29ce484222325ull,
+                                 0xcbf29ce484222325ull};
+  Rng rng(41);
+  for (auto [m, k, n] : kPinnedShapes) {
+    const auto a = relu_like_vec(m * k, rng);
+    const auto b = relu_like_vec(k * n, rng);
+    auto c = random_vec(m * n, rng);
+    for (std::size_t i = 0; i < c.size(); i += 5) c[i] = -0.0f;
+    t.gemm(a.data(), b.data(), c.data(), m, k, n);
+    h[0] = fnv1a(h[0], c);
+
+    const auto bt = relu_like_vec(n * k, rng);
+    std::vector<float> d(m * n, 1.0f);
+    t.gemm_nt(a.data(), bt.data(), d.data(), m, k, n);
+    h[1] = fnv1a(h[1], d);
+
+    const auto at = relu_like_vec(k * m, rng);
+    auto e = random_vec(m * n, rng);
+    for (std::size_t i = 0; i < e.size(); i += 5) e[i] = -0.0f;
+    t.gemm_tn(at.data(), b.data(), e.data(), m, k, n);
+    h[2] = fnv1a(h[2], e);
+  }
+  return h;
+}
+
+TEST(KernelEquivalence, GemmFamilyAvx2Pinned) {
+  SKIP_WITHOUT_AVX2();
+  const int before = omp_get_max_threads();
+  for (int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    const auto h = gemm_family_digests(kernels::avx2_table());
+    // Captured from the previous (mac_row / dot_row) AVX2 loops: the
+    // register-blocked kernels must reproduce them bit for bit.
+    EXPECT_EQ(h[0], 0x5ac1992caa6ba81dull) << "gemm, " << threads << " threads";
+    EXPECT_EQ(h[1], 0xd127b2c6fe9849f2ull)
+        << "gemm_nt, " << threads << " threads";
+    EXPECT_EQ(h[2], 0x8b6f179f831e8c2dull)
+        << "gemm_tn, " << threads << " threads";
+  }
+  omp_set_num_threads(before);
+}
+
 // ---------- ULP-bounded kernels ----------
 
 TEST(KernelEquivalence, GemmFamilyClose) {
@@ -187,12 +275,10 @@ TEST(KernelEquivalence, GemmFamilyClose) {
   const kernels::KernelTable& sc = kernels::scalar_table();
   const kernels::KernelTable& vx = kernels::avx2_table();
   Rng rng(19);
-  for (auto [m, k, n] : {std::tuple<std::size_t, std::size_t, std::size_t>{
-                             3, 5, 7},
-                         {16, 64, 32},
-                         {33, 100, 17},
-                         {1, 1, 1}}) {
-    const auto a = random_vec(m * k, rng);
+  for (auto [m, k, n] : {GemmShape{3, 5, 7}, {16, 64, 32}, {33, 100, 17},
+                         {1, 1, 1}, {97, 192, 32}, {130, 32, 40},
+                         {50, 32, 1}}) {
+    const auto a = relu_like_vec(m * k, rng);
     const auto b = random_vec(k * n, rng);
     std::vector<float> c1(m * n, 0.0f), c2(m * n, 0.0f);
     sc.gemm(a.data(), b.data(), c1.data(), m, k, n);
@@ -205,7 +291,7 @@ TEST(KernelEquivalence, GemmFamilyClose) {
     vx.gemm_nt(a.data(), bt.data(), d2.data(), m, k, n);
     expect_close(d1, d2, k, "gemm_nt");
 
-    const auto at = random_vec(k * m, rng);
+    const auto at = relu_like_vec(k * m, rng);
     std::vector<float> e1(m * n, 0.0f), e2(m * n, 0.0f);
     sc.gemm_tn(at.data(), b.data(), e1.data(), m, k, n);
     vx.gemm_tn(at.data(), b.data(), e2.data(), m, k, n);
