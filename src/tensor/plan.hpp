@@ -1,90 +1,28 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 
 namespace trkx {
 
-/// Tape-level static memory planner.
-///
-/// The autograd tape allocates the same sequence of buffers every
-/// training step as long as the minibatch shapes repeat (full-graph
-/// training always repeats; ShaDow minibatches repeat whenever two draws
-/// produce equal shapes). MemoryPlanner exploits that: the first step
-/// under a given shape signature *records* the in-scope TensorPool
-/// acquire/release sequence, computes per-buffer liveness intervals from
-/// it, assigns every non-escaping buffer an offset in one arena via
-/// first-fit interval allocation, and then *replays* that plan on every
-/// later step with the same signature — each tape allocation becomes a
-/// cursor bump into a pre-sized arena instead of a pool-bucket round
-/// trip.
-///
-/// Replay is verified, not assumed: every acquire/release must match the
-/// recorded event stream (same order, same sizes). On the first
-/// mismatch the plan is declared dead, the rest of the step falls back
-/// to TensorPool, the cached plan is invalidated (stats().replans++),
-/// and outstanding arena pointers are drained through a global arena
-/// registry so releases of planner memory are never routed to the
-/// system allocator. Buffers that outlive the scope during recording
-/// (escapes — e.g. parameters bound into the tape) are planned as
-/// pool-served and never enter the arena.
-///
-/// Everything is per-thread (the trainer thread owns its plans); the
-/// arena registry and the stats gauges are the only global state.
-/// Disable with TRKX_MEM_PLAN=0 or set_enabled(false).
+/// Inert stand-in for the deleted tape memory planner. It exists only
+/// because perfbench/runner.cpp still includes it and opens a Scope per
+/// step; it goes with the next change to the benchmark. Nothing else may
+/// include it: TensorPool is the only allocator.
 class MemoryPlanner {
  public:
-  /// RAII planning scope. Constructing with a shape signature either
-  /// starts recording (first time this signature is seen) or replaying
-  /// (plan cached). Nested scopes are inert. Destruction finalises the
-  /// recording into a plan, or retires/validates the replay.
-  class Scope {
-   public:
-    explicit Scope(std::uint64_t signature);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    bool active_ = false;
+  struct Scope {
+    explicit Scope(std::uint64_t /*signature*/) {}
   };
 
   /// FNV-1a over the step's shape-defining dimensions.
-  static std::uint64_t fingerprint(std::initializer_list<std::uint64_t> dims);
-
-  static bool enabled();
-  static void set_enabled(bool on);
-
-  struct Stats {
-    std::uint64_t arena_bytes = 0;   ///< bytes held by live plan arenas
-    std::uint64_t plan_reuses = 0;   ///< steps served start-to-end by a plan
-    std::uint64_t replans = 0;       ///< plans invalidated by divergence
-  };
-  static Stats stats();
-  static void reset_stats();
-
-  /// Drop this thread's cached plans and free their arenas (those with
-  /// no outstanding pointers). Test/teardown hook.
-  static void clear_thread_plans();
+  static std::uint64_t fingerprint(std::initializer_list<std::uint64_t> dims) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint64_t d : dims)
+      for (int b = 0; b < 8; ++b)
+        h = (h ^ ((d >> (8 * b)) & 0xffu)) * 1099511628211ull;
+    return h;
+  }
 };
 
-namespace plan_detail {
-
-/// TensorPool::acquire hook: non-null when a replaying plan serves the
-/// allocation from its arena. Must be called before the pool looks at
-/// its free lists.
-void* plan_acquire(std::size_t bytes);
-
-/// TensorPool::acquire tail hook: records the pool-served pointer while
-/// a scope is recording. No-op otherwise.
-void plan_record(void* p, std::size_t bytes);
-
-/// TensorPool::release hook: true when the pointer belonged to a plan
-/// arena (replay bookkeeping or post-divergence drain) and the pool must
-/// not touch it. While recording, logs the event and returns false so
-/// the pool still processes the release.
-bool plan_release(void* p, std::size_t bytes);
-
-}  // namespace plan_detail
 }  // namespace trkx

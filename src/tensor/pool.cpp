@@ -1,8 +1,6 @@
 #include "tensor/pool.hpp"
 
 #include <atomic>
-
-#include "tensor/plan.hpp"
 #include <cstdint>
 #include <new>
 #include <vector>
@@ -160,9 +158,10 @@ ThreadCache* local_cache() {
   return &cache;
 }
 
-/// The pool's own allocation path (bucket free lists + system fallback),
-/// shared by the planner-aware front door below.
-void* acquire_impl(std::size_t bytes) {
+}  // namespace
+
+void* TensorPool::acquire(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
   const std::size_t idx = bucket_index(bytes);
   // Always allocate bucket-rounded sizes so a block's real capacity is a
   // pure function of the request size, regardless of when the pool was
@@ -188,23 +187,8 @@ void* acquire_impl(std::size_t bytes) {
   return ::operator new(alloc_bytes);
 }
 
-}  // namespace
-
-void* TensorPool::acquire(std::size_t bytes) {
-  if (bytes == 0) return nullptr;
-  // A replaying memory plan serves tape-step buffers straight from its
-  // arena; the pool only sees the allocations the plan declines.
-  if (void* p = plan_detail::plan_acquire(bytes)) return p;
-  void* p = acquire_impl(bytes);
-  plan_detail::plan_record(p, bytes);
-  return p;
-}
-
 void TensorPool::release(void* p, std::size_t bytes) {
   if (p == nullptr) return;
-  // Arena-owned pointers are the planner's: they must never enter the
-  // pool's free lists or reach the system allocator.
-  if (plan_detail::plan_release(p, bytes)) return;
   const std::size_t idx = bucket_index(bytes);
   ThreadCache* cache = local_cache();
   if (cache == nullptr) {

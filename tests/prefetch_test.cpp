@@ -1,7 +1,8 @@
 // Tests for the sampler↔trainer overlap pipeline and its supporting
 // pieces: PrefetchQueue, TensorPool, the balanced shard_batch partition,
 // parallel evaluate_edges, and — the load-bearing property — bit-identical
-// pipelined vs serial training for both sampler kinds.
+// pipelined vs serial training for both sampler kinds, and pooled vs
+// plain-allocator training.
 
 #include <gtest/gtest.h>
 
@@ -330,6 +331,55 @@ TEST(PipelinedDeterminism2, DdpPipelinedMatchesDdpSerial) {
   for (std::size_t e = 0; e < serial.epochs.size(); ++e)
     EXPECT_EQ(serial.epochs[e].train_loss, pipelined.epochs[e].train_loss);
   EXPECT_EQ(serial_weights, pipelined_weights);
+}
+
+// ---------- allocator independence ----------
+
+// Training must not depend on which buffers the pool recycles: a kernel
+// that reads stale contents of a recycled block would train differently
+// with the pool on than with plain new/delete.
+template <typename Train>
+void expect_pool_invisible(Train train) {
+  const bool was_enabled = TensorPool::enabled();
+  TensorPool::set_enabled(true);
+  TensorPool::reset_stats();
+  const auto [pooled, pooled_weights] = train();
+  const std::uint64_t hits = TensorPool::stats().hits;
+  TensorPool::set_enabled(false);
+  const auto [plain, plain_weights] = train();
+  TensorPool::clear_thread_cache();
+  TensorPool::set_enabled(was_enabled);
+
+  EXPECT_GT(hits, 0u);  // the pooled run really recycled buffers
+  ASSERT_EQ(pooled.epochs.size(), 2u);
+  ASSERT_EQ(plain.epochs.size(), 2u);
+  for (std::size_t e = 0; e < pooled.epochs.size(); ++e)
+    EXPECT_EQ(pooled.epochs[e].train_loss, plain.epochs[e].train_loss)
+        << "epoch " << e;
+  EXPECT_EQ(pooled_weights, plain_weights);
+}
+
+TEST(AllocatorIndependence, ShadowTrainingMatchesWithPoolDisabled) {
+  auto events = tiny_events(2, 81);
+  auto val = tiny_events(1, 82);
+  expect_pool_invisible([&] {
+    GnnModel model(fast_gnn_config(events[0]), 17);
+    TrainResult r = train_shadow(model, events, val, fast_train_config(),
+                                 SamplerKind::kMatrixBulk);
+    return std::make_pair(std::move(r), model.store.flatten_values());
+  });
+}
+
+TEST(AllocatorIndependence, DdpTrainingMatchesWithPoolDisabled) {
+  auto events = tiny_events(2, 83);
+  auto val = tiny_events(1, 84);
+  expect_pool_invisible([&] {
+    GnnModel model(fast_gnn_config(events[0]), 19);
+    DistRuntime rt(2);
+    TrainResult r = train_shadow_ddp(model, events, val, fast_train_config(),
+                                     rt, SamplerKind::kMatrixBulk);
+    return std::make_pair(std::move(r), model.store.flatten_values());
+  });
 }
 
 TEST(PrefetchTrainingTest, StallTimerIsRecordedWhenPipelined) {

@@ -486,15 +486,15 @@ TEST(EnvRegistry, TypedAccessorsAndDefaults) {
   EXPECT_EQ(env::get_int("TRKX_POOL_MAX_MB"), 128);  // falls back
   ::unsetenv("TRKX_POOL_MAX_MB");
 
-  ::unsetenv("TRKX_MEM_PLAN");
-  EXPECT_TRUE(env::get_bool("TRKX_MEM_PLAN"));  // default "1"
-  ::setenv("TRKX_MEM_PLAN", "0", 1);
-  EXPECT_FALSE(env::get_bool("TRKX_MEM_PLAN"));
-  ::setenv("TRKX_MEM_PLAN", "off", 1);
-  EXPECT_FALSE(env::get_bool("TRKX_MEM_PLAN"));
-  ::setenv("TRKX_MEM_PLAN", "yes", 1);
-  EXPECT_TRUE(env::get_bool("TRKX_MEM_PLAN"));
-  ::unsetenv("TRKX_MEM_PLAN");
+  ::unsetenv("TRKX_CHECK_NUMERICS");
+  EXPECT_FALSE(env::get_bool("TRKX_CHECK_NUMERICS"));  // default "0"
+  ::setenv("TRKX_CHECK_NUMERICS", "0", 1);
+  EXPECT_FALSE(env::get_bool("TRKX_CHECK_NUMERICS"));
+  ::setenv("TRKX_CHECK_NUMERICS", "off", 1);
+  EXPECT_FALSE(env::get_bool("TRKX_CHECK_NUMERICS"));
+  ::setenv("TRKX_CHECK_NUMERICS", "yes", 1);
+  EXPECT_TRUE(env::get_bool("TRKX_CHECK_NUMERICS"));
+  ::unsetenv("TRKX_CHECK_NUMERICS");
 
   ::setenv("TRKX_COMM_TIMEOUT_MS", "1500.5", 1);
   EXPECT_DOUBLE_EQ(env::get_double("TRKX_COMM_TIMEOUT_MS"), 1500.5);
